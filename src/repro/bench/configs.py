@@ -62,15 +62,6 @@ WRITE_PATH_OPTIMIZED: "Dict[str, object]" = dict(
     group_commit_flush=True,
 )
 
-# The PR 8 read-path stack: numpy-backed batch executor with
-# morsel-driven CPU charging and the session-level decoded-batch cache.
-# Requires numpy (the [perf] extra); Database raises a clear
-# VectorizedUnavailableError at construction when it is missing.  Usage:
-#     load_engine(..., **VECTORIZED_EXECUTOR)
-VECTORIZED_EXECUTOR: "Dict[str, object]" = dict(
-    vectorized_executor=True,
-)
-
 
 def bench_config(
     instance_type: str = "m5ad.24xlarge",

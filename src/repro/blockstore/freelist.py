@@ -157,7 +157,7 @@ class Freelist:
         if len(bits) != len(freelist._bits):
             raise FreelistError("freelist payload size mismatch")
         freelist._bits = bytearray(bits)
-        freelist._used = sum(bin(byte).count("1") for byte in bits)
+        freelist._used = int.from_bytes(bits, "big").bit_count()
         return freelist
 
     def copy(self) -> "Freelist":

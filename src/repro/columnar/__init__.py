@@ -10,10 +10,9 @@ aggressively to mask storage latency.
 
 from repro.columnar.schema import ColumnSchema, TableSchema
 from repro.columnar.store import ColumnStore
-from repro.columnar.query import DecodedBatchCache, QueryContext
+from repro.columnar.query import QueryContext
 from repro.columnar.hgindex import HgIndex
 from repro.columnar.niche import CmpIndex, DateIndex, TextIndex
-from repro.columnar.vec import VectorizedUnavailableError, have_numpy
 from repro.columnar.exec import (
     hash_join,
     group_by,
@@ -24,14 +23,11 @@ __all__ = [
     "ColumnSchema",
     "TableSchema",
     "ColumnStore",
-    "DecodedBatchCache",
     "QueryContext",
     "HgIndex",
     "CmpIndex",
     "DateIndex",
     "TextIndex",
-    "VectorizedUnavailableError",
-    "have_numpy",
     "hash_join",
     "group_by",
     "order_by",

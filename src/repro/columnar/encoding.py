@@ -18,6 +18,10 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence
 
+import numpy as np
+
+from repro.columnar import vec
+
 INT_TAG = b"I"
 FLOAT_TAG = b"F"
 STR_TAG = b"S"
@@ -115,16 +119,13 @@ def encode_values(kind: str, values: "Sequence[object]") -> bytes:
 def decode_values_np(payload: bytes):
     """Decode a page into a read-only numpy column vector.
 
-    The vectorized executor's decode path (DESIGN.md §14): floats come
-    back as a zero-copy big-endian view straight over the page bytes,
-    ints as a frame-of-reference bias over a vectorized n-bit unpack,
-    and strings as a fancy-indexed page dictionary.  Values are
-    element-wise identical to :func:`decode_values`; arrays are marked
-    read-only so the decoded-batch cache can share them across queries.
+    The executor's decode path (DESIGN.md §14): floats come back as a
+    zero-copy big-endian view straight over the page bytes, ints as a
+    frame-of-reference bias over a vectorized n-bit unpack, and strings
+    as a fancy-indexed page dictionary.  Values are element-wise
+    identical to :func:`decode_values`; arrays are marked read-only so a
+    query's decoded-page cache can hand them to every scan of the page.
     """
-    from repro.columnar import vec
-
-    np = vec.require_numpy("decode_values_np")
     if len(payload) < _HEADER.size:
         raise EncodingError("truncated page payload")
     tag, count = _HEADER.unpack_from(payload)

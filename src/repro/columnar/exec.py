@@ -1,28 +1,24 @@
 """Relational operators over materialized relations.
 
-Relations are column dictionaries (``{column: [values]}``); operators
-charge CPU work to the context's :class:`~repro.sim.cpu.CpuModel` so query
-times reflect both I/O (charged by the storage stack) and compute.
+Relations are column dictionaries (``{column: values}``).  Operators take
+columns as python lists (what :meth:`QueryContext.read` returns) or numpy
+vectors (what operators return), do their work with the batch kernels in
+:mod:`repro.columnar.vec`, and return numpy vectors;
+:func:`repro.tpch.queries.run_query` turns a plan's final relation back
+into python lists.  The kernels reproduce row-at-a-time semantics exactly
+— same rows, same order, same float bits.
 
-Every operator has two implementations sharing one signature:
-
-- the **scalar** path (the seed's row-at-a-time python, unchanged and
-  still the default) charging Amdahl CPU time, and
-- the **vectorized** path (``ctx.vectorized``), where columns are numpy
-  vectors and the kernels in :mod:`repro.columnar.vec` do the work in
-  batches, charging CPU through the context's
-  :class:`~repro.sim.cpu.MorselScheduler` so simulated time scales with
-  the instance's vCPUs (DESIGN.md §14).
-
-The vectorized kernels are constructed to reproduce the scalar output
-exactly — same rows, same order, same float bits — which the equivalence
-suite asserts across all 22 TPC-H queries.
+Each operator charges its CPU work, in tuple operations, to the context's
+Amdahl :class:`~repro.sim.cpu.CpuModel`, so query times reflect both I/O
+(charged by the storage stack) and compute.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.columnar import vec
 from repro.columnar.query import QueryContext, Relation, n_rows
@@ -47,17 +43,8 @@ def _columns_or_raise(rel: Relation, columns: "Sequence[str]") -> None:
             )
 
 
-def _vectorized(ctx: QueryContext) -> bool:
-    return bool(getattr(ctx, "vectorized", False))
-
-
-def _charge(ctx: QueryContext, ops: float, rows: float) -> None:
-    """Route CPU work to the morsel scheduler (vectorized) or the
-    Amdahl model (scalar, byte-identical to the seed)."""
-    if _vectorized(ctx):
-        ctx.morsels.charge(ops, rows)
-    else:
-        ctx.cpu.charge(ops)
+def _vectors(rel: Relation) -> "Dict[str, np.ndarray]":
+    return {column: vec.asarray(values) for column, values in rel.items()}
 
 
 def select(rel: Relation, columns: "Sequence[str]") -> Relation:
@@ -72,16 +59,10 @@ def extend(ctx: QueryContext, rel: Relation, name: str,
     """Add a computed column ``name = fn(*input_columns)`` row-wise."""
     _columns_or_raise(rel, inputs)
     count = n_rows(rel)
-    _charge(ctx, _MAP_OPS * count, count)
-    if _vectorized(ctx):
-        out = {column: vec.asarray(values) for column, values in rel.items()}
-        series = [out[column] for column in inputs]
-        out[name] = vec.apply_rowwise(fn, series, count)
-        return out
-    series = [rel[column] for column in inputs]
-    rel = dict(rel)
-    rel[name] = [fn(*values) for values in zip(*series)] if count else []
-    return rel
+    ctx.cpu.charge(_MAP_OPS * count)
+    out = _vectors(rel)
+    out[name] = vec.apply_rowwise(fn, [out[c] for c in inputs], count)
+    return out
 
 
 def filter_rows(ctx: QueryContext, rel: Relation,
@@ -90,21 +71,12 @@ def filter_rows(ctx: QueryContext, rel: Relation,
     """Keep rows where ``fn(*input_columns)`` holds."""
     _columns_or_raise(rel, inputs)
     count = n_rows(rel)
-    _charge(ctx, _FILTER_OPS * count, count)
-    if _vectorized(ctx):
-        np = vec.require_numpy()
-        arrays = {column: vec.asarray(values) for column, values in rel.items()}
-        series = [arrays[column] for column in inputs]
-        mask = np.asarray(
-            vec.apply_rowwise(fn, series, count), dtype=bool
-        )
-        return {column: values[mask] for column, values in arrays.items()}
-    series = [rel[column] for column in inputs]
-    mask = [bool(fn(*values)) for values in zip(*series)] if count else []
-    return {
-        column: [v for v, keep in zip(values, mask) if keep]
-        for column, values in rel.items()
-    }
+    ctx.cpu.charge(_FILTER_OPS * count)
+    arrays = _vectors(rel)
+    mask = np.asarray(
+        vec.apply_rowwise(fn, [arrays[c] for c in inputs], count), dtype=bool
+    )
+    return {column: values[mask] for column, values in arrays.items()}
 
 
 def hash_join(
@@ -120,7 +92,9 @@ def hash_join(
 
     The smaller input becomes the build side for inner joins; semi/anti
     joins always build on the right.  Join-key columns from the right side
-    are dropped (they equal the left's).
+    are dropped (they equal the left's).  Keys are factorized into one
+    shared code space and matches expanded with searchsorted, in
+    probe-row-major order with build matches in insertion order.
     """
     if len(left_on) != len(right_on):
         raise ExecError("join key lists differ in length")
@@ -128,82 +102,12 @@ def hash_join(
     _columns_or_raise(right, right_on)
     if semi and anti:
         raise ExecError("a join cannot be both semi and anti")
-    if _vectorized(ctx):
-        return _hash_join_vec(ctx, left, right, left_on, right_on, semi, anti)
+    left_arr = _vectors(left)
+    right_arr = _vectors(right)
 
     if semi or anti:
-        keys = set(zip(*(right[c] for c in right_on))) if n_rows(right) else set()
         ctx.cpu.charge(_JOIN_BUILD_OPS * n_rows(right))
         ctx.cpu.charge(_JOIN_PROBE_OPS * n_rows(left))
-        left_keys = list(zip(*(left[c] for c in left_on))) if n_rows(left) else []
-        if anti:
-            mask = [key not in keys for key in left_keys]
-        else:
-            mask = [key in keys for key in left_keys]
-        return {
-            column: [v for v, keep in zip(values, mask) if keep]
-            for column, values in left.items()
-        }
-
-    # Inner join: build on the smaller side.
-    swap = n_rows(right) > n_rows(left)
-    build, probe = (left, right) if swap else (right, left)
-    build_on, probe_on = (left_on, right_on) if swap else (right_on, left_on)
-
-    ctx.cpu.charge(_JOIN_BUILD_OPS * n_rows(build))
-    table: Dict[Tuple[object, ...], List[int]] = {}
-    build_keys = (
-        list(zip(*(build[c] for c in build_on))) if n_rows(build) else []
-    )
-    for row, key in enumerate(build_keys):
-        table.setdefault(key, []).append(row)
-
-    ctx.cpu.charge(_JOIN_PROBE_OPS * n_rows(probe))
-    probe_keys = (
-        list(zip(*(probe[c] for c in probe_on))) if n_rows(probe) else []
-    )
-    probe_rows: List[int] = []
-    build_rows: List[int] = []
-    for row, key in enumerate(probe_keys):
-        for match in table.get(key, ()):
-            probe_rows.append(row)
-            build_rows.append(match)
-
-    out: Relation = {}
-    drop = set(build_on)
-    for column, values in probe.items():
-        out[column] = [values[i] for i in probe_rows]
-    for column, values in build.items():
-        if column in drop or column in out:
-            continue
-        out[column] = [values[i] for i in build_rows]
-    # Re-expose the join keys under the left side's names.
-    for left_col, right_col in zip(left_on, right_on):
-        if left_col not in out:
-            source, rows = (
-                (left, probe_rows if not swap else build_rows)
-            )
-            out[left_col] = [source[left_col][i] for i in rows]
-    return out
-
-
-def _hash_join_vec(
-    ctx: QueryContext,
-    left: Relation,
-    right: Relation,
-    left_on: "Sequence[str]",
-    right_on: "Sequence[str]",
-    semi: bool,
-    anti: bool,
-) -> Relation:
-    """Vectorized join: factorized keys, searchsorted match expansion."""
-    np = vec.require_numpy()
-    left_arr = {column: vec.asarray(values) for column, values in left.items()}
-    right_arr = {column: vec.asarray(values) for column, values in right.items()}
-
-    if semi or anti:
-        ctx.morsels.charge(_JOIN_BUILD_OPS * n_rows(right), n_rows(right))
-        ctx.morsels.charge(_JOIN_PROBE_OPS * n_rows(left), n_rows(left))
         right_codes, left_codes = vec.join_codes(
             [right_arr[c] for c in right_on],
             [left_arr[c] for c in left_on],
@@ -213,12 +117,13 @@ def _hash_join_vec(
             mask = ~mask
         return {column: values[mask] for column, values in left_arr.items()}
 
+    # Inner join: build on the smaller side.
     swap = n_rows(right) > n_rows(left)
     build, probe = (left_arr, right_arr) if swap else (right_arr, left_arr)
     build_on, probe_on = (left_on, right_on) if swap else (right_on, left_on)
 
-    ctx.morsels.charge(_JOIN_BUILD_OPS * n_rows(build), n_rows(build))
-    ctx.morsels.charge(_JOIN_PROBE_OPS * n_rows(probe), n_rows(probe))
+    ctx.cpu.charge(_JOIN_BUILD_OPS * n_rows(build))
+    ctx.cpu.charge(_JOIN_PROBE_OPS * n_rows(probe))
     build_codes, probe_codes = vec.join_codes(
         [build[c] for c in build_on],
         [probe[c] for c in probe_on],
@@ -233,7 +138,8 @@ def _hash_join_vec(
         if column in drop or column in out:
             continue
         out[column] = values[build_rows]
-    for left_col, right_col in zip(left_on, right_on):
+    # Re-expose the join keys under the left side's names.
+    for left_col in left_on:
         if left_col not in out:
             rows_idx = probe_rows if not swap else build_rows
             out[left_col] = left_arr[left_col][rows_idx]
@@ -255,6 +161,7 @@ def group_by(
     sum/count/avg/min/max (count ignores its column, which may be None).
     An empty ``keys`` produces a single global group (even over zero rows
     for count, mirroring SQL's scalar aggregates over empty inputs).
+    Groups come out in order of first appearance.
     """
     _columns_or_raise(rel, keys)
     for out_name, (op, column) in aggregates.items():
@@ -265,69 +172,8 @@ def group_by(
         if column is not None:
             _columns_or_raise(rel, [column])
     count = n_rows(rel)
-    _charge(ctx, _GROUP_OPS * count * max(1, len(aggregates)), count)
-    if _vectorized(ctx):
-        return _group_by_vec(rel, keys, aggregates, count)
-
-    key_series = [rel[k] for k in keys]
-    groups: "Dict[Tuple[object, ...], int]" = {}
-    order: List[Tuple[object, ...]] = []
-    assignments: List[int] = []
-    if keys:
-        for key in zip(*key_series):
-            index = groups.get(key)
-            if index is None:
-                index = len(order)
-                groups[key] = index
-                order.append(key)
-            assignments.append(index)
-    else:
-        order.append(())
-        assignments = [0] * count
-
-    out: Relation = {k: [key[i] for key in order] for i, k in enumerate(keys)}
-    for out_name, (op, column) in aggregates.items():
-        values = rel[column] if column is not None else None
-        sums = [0.0] * len(order)
-        counts = [0] * len(order)
-        mins: "List[object]" = [None] * len(order)
-        maxs: "List[object]" = [None] * len(order)
-        for row, group in enumerate(assignments):
-            counts[group] += 1
-            if values is not None:
-                value = values[row]
-                if op in ("sum", "avg"):
-                    sums[group] += value  # type: ignore[operator]
-                elif op == "min":
-                    if mins[group] is None or value < mins[group]:  # type: ignore[operator]
-                        mins[group] = value
-                elif op == "max":
-                    if maxs[group] is None or value > maxs[group]:  # type: ignore[operator]
-                        maxs[group] = value
-        if op == "sum":
-            out[out_name] = list(sums)
-        elif op == "count":
-            out[out_name] = list(counts)
-        elif op == "avg":
-            out[out_name] = [
-                (s / c if c else 0.0) for s, c in zip(sums, counts)
-            ]
-        elif op == "min":
-            out[out_name] = list(mins)
-        else:
-            out[out_name] = list(maxs)
-    return out
-
-
-def _group_by_vec(
-    rel: Relation,
-    keys: "Sequence[str]",
-    aggregates: "Dict[str, Tuple[str, Optional[str]]]",
-    count: int,
-) -> Relation:
-    """Vectorized aggregation: appearance-ordered codes + bincount."""
-    np = vec.require_numpy()
-    arrays = {column: vec.asarray(values) for column, values in rel.items()}
+    ctx.cpu.charge(_GROUP_OPS * count * max(1, len(aggregates)))
+    arrays = _vectors(rel)
     if keys:
         codes, first_rows = vec.group_keys([arrays[k] for k in keys])
         n_groups = len(first_rows)
@@ -345,10 +191,8 @@ def _group_by_vec(
         assert values is not None
         if count == 0:
             # Only reachable for the single global group over zero rows:
-            # mirror the scalar accumulators' initial values.
-            if op in ("sum",):
-                out[out_name] = np.zeros(n_groups)
-            elif op == "avg":
+            # sums start at 0.0, min/max at None.
+            if op in ("sum", "avg"):
                 out[out_name] = np.zeros(n_groups)
             else:
                 empty = np.empty(n_groups, dtype=object)
@@ -382,77 +226,49 @@ def order_by(
     _columns_or_raise(rel, [k for k, __ in keys])
     count = n_rows(rel)
     if count:
-        _charge(ctx, _SORT_OPS * count * max(1.0, math.log2(count)), count)
-    if _vectorized(ctx):
-        np = vec.require_numpy()
-        arrays = {column: vec.asarray(values) for column, values in rel.items()}
-        indexes = np.arange(count, dtype=np.int64)
-        # Stable sorts composed right-to-left, on integer ranks so that
-        # descending keys negate cleanly for any dtype while keeping
-        # list.sort(reverse=True)'s tie order.
-        for column, descending in reversed(list(keys)):
-            ranks = vec.sort_codes(arrays[column][indexes])
-            if descending:
-                ranks = -ranks
-            indexes = indexes[np.argsort(ranks, kind="stable")]
-        if limit is not None:
-            indexes = indexes[:limit]
-        return {column: values[indexes] for column, values in arrays.items()}
-    indexes = list(range(count))
-    # Stable sorts composed right-to-left implement multi-key ordering.
+        ctx.cpu.charge(_SORT_OPS * count * max(1.0, math.log2(count)))
+    arrays = _vectors(rel)
+    indexes = np.arange(count, dtype=np.int64)
+    # Stable sorts composed right-to-left, on integer ranks so that
+    # descending keys negate cleanly for any dtype while keeping
+    # list.sort(reverse=True)'s tie order.
     for column, descending in reversed(list(keys)):
-        values = rel[column]
-        indexes.sort(key=lambda i: values[i], reverse=descending)
+        ranks = vec.sort_codes(arrays[column][indexes])
+        if descending:
+            ranks = -ranks
+        indexes = indexes[np.argsort(ranks, kind="stable")]
     if limit is not None:
         indexes = indexes[:limit]
-    return {
-        column: [values[i] for i in indexes] for column, values in rel.items()
-    }
+    return {column: values[indexes] for column, values in arrays.items()}
 
 
 def concat(left: Relation, right: Relation) -> Relation:
     """Union-all of two relations with identical columns."""
     if set(left) != set(right):
         raise ExecError("concat requires identical column sets")
-    if vec.have_numpy() and any(
-        vec.is_vector(values) for values in (*left.values(), *right.values())
-    ):
-        np = vec.require_numpy()
-        return {
-            column: np.concatenate(
-                [vec.asarray(left[column]), vec.asarray(right[column])]
-            )
-            for column in left
-        }
-    return {column: left[column] + right[column] for column in left}
+    return {
+        column: vec.concatenate(
+            vec.asarray(left[column]), vec.asarray(right[column])
+        )
+        for column in left
+    }
 
 
 def distinct(ctx: QueryContext, rel: Relation,
              columns: "Sequence[str]") -> Relation:
-    """Distinct projection."""
+    """Distinct projection, in order of first appearance."""
     _columns_or_raise(rel, columns)
     count = n_rows(rel)
-    _charge(ctx, _GROUP_OPS * count, count)
-    if _vectorized(ctx):
-        arrays = [vec.asarray(rel[c]) for c in columns]
-        if count == 0:
-            return {c: arr for c, arr in zip(columns, arrays)}
-        # first_rows is already in first-appearance (ascending row) order,
-        # matching the scalar keep list.
-        __, first_rows = vec.group_keys(arrays)
-        return {c: arr[first_rows] for c, arr in zip(columns, arrays)}
-    seen = set()
-    keep: List[int] = []
-    series = [rel[c] for c in columns]
-    for i, key in enumerate(zip(*series)):
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return {c: [rel[c][i] for i in keep] for c in columns}
+    ctx.cpu.charge(_GROUP_OPS * count)
+    arrays = [vec.asarray(rel[c]) for c in columns]
+    if count == 0:
+        return dict(zip(columns, arrays))
+    __, first_rows = vec.group_keys(arrays)
+    return {c: arr[first_rows] for c, arr in zip(columns, arrays)}
 
 
 def rows(rel: Relation, columns: "Optional[Sequence[str]]" = None):
-    """Iterate a relation as tuples (testing/report helper)."""
+    """Iterate a relation as tuples of python values (testing/report helper)."""
     columns = list(columns or sorted(rel))
-    series = [rel[c] for c in columns]
+    series = [vec.to_list(rel[c]) for c in columns]
     return list(zip(*series)) if series and len(series[0]) else []

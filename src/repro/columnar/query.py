@@ -7,21 +7,22 @@ provides:
 
 - metadata access (table state, zone maps, HG indexes) with caching,
 - page-pruned, prefetched column scans returning *relations*
-  (``{column: [values]}`` dictionaries),
+  (``{column: [values]}`` dictionaries of python lists; pages are
+  decoded and filtered as numpy vectors inside the scan),
 - HG-index lookups that turn predicates into row-id sets and row-id sets
   into targeted page reads.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from collections import OrderedDict
+import numpy as np
 
 from repro.columnar import vec
 from repro.columnar.blob import read_blob
 from repro.columnar.deletes import RowIdSet
-from repro.columnar.encoding import decode_values, decode_values_np
+from repro.columnar.encoding import decode_values_np
 from repro.columnar.hgindex import HgIndex
 from repro.columnar.niche import CmpIndex, DateIndex, TextIndex
 from repro.columnar.schema import TableState, make_row_id, split_row_id
@@ -45,86 +46,11 @@ def n_rows(rel: Relation) -> int:
     return 0
 
 
-class DecodedBatchCache:
-    """Byte-budget LRU of decoded column batches, shared per session.
-
-    The vectorized executor decodes pages into immutable numpy vectors;
-    caching them at the *session* level (keyed by object, committed
-    version and page, so MVCC snapshots never mix) means repeated scans
-    of hot columns skip both the buffer-cache page fetch and the decode
-    CPU charge entirely — the zero-copy half of DESIGN.md §14.
-    """
-
-    def __init__(self, capacity_bytes: int, metrics=None) -> None:
-        if capacity_bytes < 0:
-            raise ValueError("capacity_bytes cannot be negative")
-        self.capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[Tuple[str, int, int], Tuple[object, int]]" = (
-            OrderedDict()
-        )
-        self.bytes_used = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._metrics = metrics
-        if metrics is not None:
-            self._hit_counter = metrics.counter("decoded_cache_hits")
-            self._miss_counter = metrics.counter("decoded_cache_misses")
-            self._evict_counter = metrics.counter("decoded_cache_evictions")
-            self._bytes_gauge = metrics.gauge("decoded_cache_bytes")
-        else:
-            self._hit_counter = self._miss_counter = None
-            self._evict_counter = self._bytes_gauge = None
-
-    def __contains__(self, key: "Tuple[str, int, int]") -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: "Tuple[str, int, int]"):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            if self._miss_counter is not None:
-                self._miss_counter.increment()
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        if self._hit_counter is not None:
-            self._hit_counter.increment()
-        return entry[0]
-
-    def put(self, key: "Tuple[str, int, int]", values, nbytes: int) -> None:
-        if nbytes > self.capacity_bytes:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.bytes_used -= old[1]
-        self._entries[key] = (values, nbytes)
-        self.bytes_used += nbytes
-        while self.bytes_used > self.capacity_bytes and self._entries:
-            __, (___, dropped) = self._entries.popitem(last=False)
-            self.bytes_used -= dropped
-            self.evictions += 1
-            if self._evict_counter is not None:
-                self._evict_counter.increment()
-        if self._bytes_gauge is not None:
-            self._bytes_gauge.set(self.bytes_used)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.bytes_used = 0
-        if self._bytes_gauge is not None:
-            self._bytes_gauge.set(0)
-
-
 class QueryContext:
     """One transaction's view for query execution."""
 
     def __init__(self, session, txn=None, prefetch_window: int = 32,
-                 pipelined: "Optional[bool]" = None,
-                 vectorized: "Optional[bool]" = None) -> None:
+                 pipelined: "Optional[bool]" = None) -> None:
         self.session = session
         self.cpu = session.cpu
         self.buffer = session.buffer
@@ -140,71 +66,17 @@ class QueryContext:
         if pipelined is None:
             pipelined = bool(getattr(config, "pipelined_prefetch", False))
         self.pipelined = pipelined
-        # Vectorized executor (DESIGN.md §14): numpy column vectors,
-        # morsel-driven CPU charging, session-level decoded-batch cache.
-        # Defaults to the `vectorized_executor` config knob; passing an
-        # explicit value lets benchmarks run both modes on one engine.
-        if vectorized is None:
-            vectorized = bool(getattr(config, "vectorized_executor", False))
-        if vectorized:
-            vec.require_numpy("vectorized query execution")
-        self.vectorized = vectorized
-        # Vectorized scan work is accumulated across a whole read() and
-        # charged as ONE morsel batch: morsels are scheduled over the
-        # full scan, not per page, which is what lets a large scan fan
-        # out across every vCPU (per-page batches would never exceed one
-        # morsel and would serialize the scan).
-        self._pending_scan_ops = 0.0
-        self._pending_scan_rows = 0
         self._states: Dict[str, TableState] = {}
         self._zonemaps: Dict[str, ZoneMaps] = {}
         self._hg: Dict[Tuple[str, str], HgIndex] = {}
-        self._decoded: Dict[Tuple[str, int], List[object]] = {}
-
-    @property
-    def morsels(self):
-        """The session's morsel scheduler (lazy; vectorized path only)."""
-        sched = getattr(self.session, "_morsel_scheduler", None)
-        if sched is None:
-            from repro.sim.cpu import MorselScheduler
-
-            config = getattr(self.session, "config", None)
-            sched = MorselScheduler(
-                self.cpu,
-                morsel_rows=getattr(config, "morsel_rows", 4096),
-                metrics=getattr(self.session, "metrics", None),
-            )
-            setattr(self.session, "_morsel_scheduler", sched)
-        return sched
-
-    def _defer_scan_charge(self, ops: float, rows: int) -> None:
-        """Bank vectorized scan work; flushed once per read()."""
-        self._pending_scan_ops += ops
-        self._pending_scan_rows += rows
-
-    def _flush_scan_charges(self) -> None:
-        if self._pending_scan_ops:
-            self.morsels.charge(self._pending_scan_ops,
-                                self._pending_scan_rows)
-            self._pending_scan_ops = 0.0
-            self._pending_scan_rows = 0
-
-    def _batch_cache(self) -> DecodedBatchCache:
-        """The session's decoded-batch cache (lazy; vectorized path only)."""
-        cache = getattr(self.session, "_decoded_batches", None)
-        if cache is None:
-            config = getattr(self.session, "config", None)
-            cache = DecodedBatchCache(
-                getattr(config, "decoded_cache_bytes", 128 * 1024 * 1024),
-                metrics=getattr(self.session, "metrics", None),
-            )
-            setattr(self.session, "_decoded_batches", cache)
-        return cache
+        # Decoded pages, per context only: a page served from here skips
+        # the buffer access and the decode charge, so sharing it across
+        # sessions would make a query's virtual time depend on what other
+        # sessions happened to scan before it.
+        self._decoded: "Dict[Tuple[str, int], np.ndarray]" = {}
 
     def close(self, commit: bool = True) -> None:
         """Finish the context's own transaction (no-op for borrowed ones)."""
-        if self.vectorized:
-            self._flush_scan_charges()
         if self._own_txn:
             if commit:
                 self.session.commit(self.txn)
@@ -322,15 +194,13 @@ class QueryContext:
     # page access
     # ------------------------------------------------------------------ #
 
-    def _column_page(self, object_name: str, page_no: int) -> "List[object]":
-        if self.vectorized:
-            return self._column_page_vec(object_name, page_no)
+    def _column_page(self, object_name: str, page_no: int) -> "np.ndarray":
         cache_key = (object_name, page_no)
         cached = self._decoded.get(cache_key)
         if cached is not None:
             return cached
         payload = self.buffer.get_page(self._handle(object_name), page_no)
-        values = decode_values(payload)
+        values = decode_values_np(payload)
         self.cpu.charge(_DECODE_OPS * len(values))
         self._decoded[cache_key] = values
         # A small decode cache is enough: queries touch pages in passes.
@@ -338,39 +208,10 @@ class QueryContext:
             self._decoded.clear()
         return values
 
-    def _column_page_vec(self, object_name: str, page_no: int):
-        """Decode a page into a cached, immutable numpy column vector.
-
-        A hit skips both the buffer-cache page access and the decode CPU
-        charge — the decoded batch is reused zero-copy across queries.
-        """
-        handle = self._handle(object_name)
-        cache = self._batch_cache()
-        key = (object_name, handle.version, page_no)
-        values = cache.get(key)
-        if values is not None:
-            return values
-        payload = self.buffer.get_page(handle, page_no)
-        values = decode_values_np(payload)
-        self._defer_scan_charge(_DECODE_OPS * len(values), len(values))
-        cache.put(key, values, int(values.nbytes))
-        return values
-
-    def _have_decoded(self, object_name: str, page_no: int) -> bool:
-        """Is the page already decoded (per-context or session cache)?"""
-        if (object_name, page_no) in self._decoded:
-            return True
-        if self.vectorized:
-            cache = getattr(self.session, "_decoded_batches", None)
-            if cache is not None:
-                handle = self._handle(object_name)
-                return (object_name, handle.version, page_no) in cache
-        return False
-
     def _prefetch_pages(self, object_name: str, pages: "Sequence[int]",
                         scan_hint: bool = False) -> None:
         missing = [
-            p for p in pages if not self._have_decoded(object_name, p)
+            p for p in pages if (object_name, p) not in self._decoded
         ]
         if missing:
             self.buffer.prefetch(
@@ -391,7 +232,7 @@ class QueryContext:
         for column in needed:
             object_name = schema.column_object(column, partition)
             missing = [
-                p for p in batch if not self._have_decoded(object_name, p)
+                p for p in batch if (object_name, p) not in self._decoded
             ]
             if missing:
                 requests.append((self._handle(object_name), missing))
@@ -448,8 +289,6 @@ class QueryContext:
         state = self.table(table)
         schema = state.schema
         needed = list(dict.fromkeys(list(columns) + list(predicates)))
-        # Vectorized scans accumulate per-page array chunks per column and
-        # concatenate once at the end; the scalar path extends flat lists.
         out: Relation = {column: [] for column in columns}
         if with_rowids:
             out[ROWID] = []
@@ -470,24 +309,7 @@ class QueryContext:
                     self._scan_page(schema, needed, columns, predicates,
                                     deleted, out, with_rowids,
                                     partition, page_no)
-        if self.vectorized:
-            self._flush_scan_charges()
-            return self._finalize_chunks(out)
         return out
-
-    @staticmethod
-    def _finalize_chunks(out: Relation) -> Relation:
-        """Concatenate per-page array chunks into one vector per column."""
-        np = vec.require_numpy()
-        final: Relation = {}
-        for column, chunks in out.items():
-            if not chunks:
-                final[column] = vec.empty()
-            elif len(chunks) == 1:
-                final[column] = chunks[0]
-            else:
-                final[column] = np.concatenate(chunks)
-        return final
 
     def _read_pipelined(
         self,
@@ -568,47 +390,8 @@ class QueryContext:
             for column in needed
         }
         count = len(next(iter(page_values.values()))) if needed else 0
-        if self.vectorized:
-            self._materialize_page_vec(schema, columns, predicates, deleted,
-                                       out, with_rowids, partition, page_no,
-                                       page_values, count)
-            return
         mask = self._evaluate(predicates, page_values, count)
         self.cpu.charge(_SCAN_OPS * count * max(1, len(columns)))
-        base_row = make_row_id(partition, page_no * schema.rows_per_page)
-        if deleted:
-            for i in range(count):
-                if mask[i] and (base_row + i) in deleted:
-                    mask[i] = False
-        for column in columns:
-            values = page_values[column]
-            out[column].extend(
-                value for value, keep in zip(values, mask) if keep
-            )
-        if with_rowids:
-            out[ROWID].extend(
-                base_row + i for i, keep in enumerate(mask) if keep
-            )
-
-    def _materialize_page_vec(
-        self,
-        schema,
-        columns: "Sequence[str]",
-        predicates: "Dict[str, Predicate]",
-        deleted: RowIdSet,
-        out: Relation,
-        with_rowids: bool,
-        partition: int,
-        page_no: int,
-        page_values,
-        count: int,
-    ) -> None:
-        """Filter one decoded page with a boolean mask; append chunks."""
-        np = vec.require_numpy()
-        mask = self._evaluate_vec(predicates, page_values, count)
-        self._defer_scan_charge(
-            _SCAN_OPS * count * max(1, len(columns)), count
-        )
         base_row = make_row_id(partition, page_no * schema.rows_per_page)
         if deleted:
             # Tombstones are rare; probe only the surviving rows.
@@ -616,46 +399,18 @@ class QueryContext:
                 if (base_row + i) in deleted:
                     mask[i] = False
         for column in columns:
-            out[column].append(page_values[column][mask])
+            out[column].extend(page_values[column][mask].tolist())
         if with_rowids:
-            out[ROWID].append(base_row + np.flatnonzero(mask))
+            out[ROWID].extend((base_row + np.flatnonzero(mask)).tolist())
 
-    def _evaluate(
-        self,
-        predicates: "Dict[str, Predicate]",
-        page_values: "Dict[str, List[object]]",
-        count: int,
-    ) -> "List[bool]":
-        mask = [True] * count
-        for column, predicate in predicates.items():
-            values = page_values[column]
-            self.cpu.charge(_PREDICATE_OPS * count)
-            bounds = self._range_of(predicate)
-            if bounds is not None:
-                lo, hi = bounds
-                for i in range(count):
-                    if not mask[i]:
-                        continue
-                    value = values[i]
-                    if lo is not None and value < lo:  # type: ignore[operator]
-                        mask[i] = False
-                    elif hi is not None and value > hi:  # type: ignore[operator]
-                        mask[i] = False
-            else:
-                check = predicate  # type: ignore[assignment]
-                for i in range(count):
-                    if mask[i] and not check(values[i]):  # type: ignore[operator]
-                        mask[i] = False
-        return mask
-
-    def _evaluate_vec(self, predicates: "Dict[str, Predicate]",
-                      page_values, count: int):
-        """Boolean-mask predicate evaluation over column vectors."""
-        np = vec.require_numpy()
+    def _evaluate(self, predicates: "Dict[str, Predicate]",
+                  page_values: "Dict[str, np.ndarray]",
+                  count: int) -> "np.ndarray":
+        """Boolean row mask of a page: every predicate, charged in turn."""
         mask = np.ones(count, dtype=bool)
         for column, predicate in predicates.items():
             values = page_values[column]
-            self._defer_scan_charge(_PREDICATE_OPS * count, count)
+            self.cpu.charge(_PREDICATE_OPS * count)
             bounds = self._range_of(predicate)
             if bounds is not None:
                 lo, hi = bounds
@@ -664,10 +419,9 @@ class QueryContext:
                 if hi is not None:
                     mask &= np.asarray(values <= hi, dtype=bool)
             else:
-                hits = vec.apply_rowwise(
-                    predicate, [np.asarray(values)], count
+                mask &= np.asarray(
+                    vec.apply_rowwise(predicate, [values], count), dtype=bool
                 )
-                mask &= np.asarray(hits, dtype=bool)
         return mask
 
     # ------------------------------------------------------------------ #
@@ -708,7 +462,5 @@ class QueryContext:
                     schema.column_object(column, part), page_no
                 )
                 self.cpu.charge(_SCAN_OPS * len(offsets))
-                out[column].extend(values[offset] for offset in offsets)
-        if self.vectorized:
-            self._flush_scan_charges()
+                out[column].extend(values[offsets].tolist())
         return out

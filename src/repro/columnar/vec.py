@@ -1,19 +1,16 @@
-"""Numpy kernels for the vectorized columnar executor (DESIGN.md §14).
+"""Numpy kernels of the columnar executor (DESIGN.md §14).
 
-This module is the **only** place numpy is imported.  Everything else
-(`exec`, `query`, `encoding`) calls through these helpers, so a build
-without numpy keeps the pure-python scalar path fully functional and
-``vectorized_executor=True`` fails with one clear error instead of
-scattered ImportErrors.
+The relational operators in :mod:`repro.columnar.exec` and the page scans
+in :mod:`repro.columnar.query` do their work through these helpers.
+Every kernel reproduces the row-at-a-time reference semantics *exactly*
+— same rows, same order, same float bits:
 
-Every kernel is written to reproduce the scalar executor's output
-*exactly* — same rows, same order, same float bits:
-
-- group ids are numbered in order of first appearance (the scalar path's
-  dict-insertion order), via :func:`group_keys`;
+- group ids are numbered in order of first appearance (dict-insertion
+  order), via :func:`group_keys`;
 - grouped sums accumulate in row order through ``np.bincount``, whose C
-  loop adds weights sequentially exactly like the scalar accumulator
-  (pairwise summation à la ``np.sum`` would round differently);
+  loop adds weights sequentially exactly like a ``sums[g] += value``
+  accumulator (pairwise summation à la ``np.sum`` would round
+  differently);
 - join output is ordered probe-row-major with matches in build insertion
   order, via :func:`join_matches` (stable argsort + searchsorted ranges);
 - sorts factorize values to integer ranks so descending keys can be
@@ -25,39 +22,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    np = None  # type: ignore[assignment]
-
-
-class VectorizedUnavailableError(RuntimeError):
-    """``vectorized_executor=True`` on an install without numpy."""
-
-
-def have_numpy() -> bool:
-    """True when the numpy-backed executor can run."""
-    return np is not None
-
-
-def require_numpy(feature: str = "the vectorized executor"):
-    """Return the numpy module or raise a clear, actionable error."""
-    if np is None:
-        raise VectorizedUnavailableError(
-            f"{feature} requires numpy, which is not installed. "
-            "Install the perf extra (pip install 'repro[perf]') or keep "
-            "vectorized_executor=False to use the pure-python scalar path."
-        )
-    return np
+import numpy as np
 
 
 # ---------------------------------------------------------------------- #
 # column vectors
 # ---------------------------------------------------------------------- #
-
-def is_vector(values: object) -> bool:
-    return np is not None and isinstance(values, np.ndarray)
-
 
 def asarray(values):
     """Coerce a column (list or ndarray) to a 1-D ndarray.
@@ -89,13 +59,31 @@ def asarray(values):
 
 def to_list(values) -> list:
     """Materialize a column as a plain python list of python scalars."""
-    if np is not None and isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray):
         return values.tolist()
     return list(values)
 
 
-def empty() -> "np.ndarray":
-    return np.empty(0, dtype=object)
+def concatenate(left: "np.ndarray", right: "np.ndarray") -> "np.ndarray":
+    """Append two columns like list ``+``: values keep their types.
+
+    An empty side contributes no dtype, and columns of different kinds
+    meet in an object array rather than being upcast (ints stay ints).
+    """
+    if not len(left):
+        return right
+    if not len(right):
+        return left
+    if left.dtype.kind != right.dtype.kind:
+        return _object_concat(left, right)
+    return np.concatenate([left, right])
+
+
+def _object_concat(left: "np.ndarray", right: "np.ndarray") -> "np.ndarray":
+    both = np.empty(len(left) + len(right), dtype=object)
+    both[: len(left)] = left
+    both[len(left):] = right
+    return both
 
 
 # ---------------------------------------------------------------------- #
@@ -128,9 +116,9 @@ def group_keys(
     """Factorize aligned key columns into appearance-ordered group ids.
 
     Returns ``(codes, first_rows)``: ``codes[i]`` is row *i*'s group id,
-    groups numbered in order of first appearance (matching the scalar
-    executor's dict-insertion order); ``first_rows[g]`` is the row index
-    where group *g* first appears (strictly increasing).
+    groups numbered in order of first appearance (dict-insertion
+    order); ``first_rows[g]`` is the row index where group *g* first
+    appears (strictly increasing).
     """
     codes = _combined_codes(columns)
     uniq, first_idx, inverse = np.unique(
@@ -156,10 +144,7 @@ def _concat_keys(left, right) -> "np.ndarray":
     if left.dtype.kind != right.dtype.kind and not (
         left.dtype.kind in "biuf" and right.dtype.kind in "biuf"
     ):
-        both = np.empty(len(left) + len(right), dtype=object)
-        both[: len(left)] = left
-        both[len(left):] = right
-        return both
+        return _object_concat(left, right)
     return np.concatenate([left, right])
 
 
@@ -185,7 +170,7 @@ def join_matches(
 ) -> "Tuple[np.ndarray, np.ndarray]":
     """All (probe_row, build_row) match pairs of an inner hash join.
 
-    Ordered exactly like the scalar probe loop: probe rows ascending,
+    Ordered exactly like a row-at-a-time probe loop: probe rows ascending,
     and within one probe row the matching build rows in build insertion
     order (the stable argsort preserves it among equal keys).
     """
@@ -226,7 +211,7 @@ def group_sum(
     """Per-group sums, accumulated in row order.
 
     ``np.bincount``'s C loop adds each weight sequentially — the same
-    order and rounding as the scalar executor's ``sums[g] += value``
+    order and rounding as a row-at-a-time ``sums[g] += value``
     (``np.sum``'s pairwise summation would differ in the last bits).
     """
     return np.bincount(codes, weights=values, minlength=n_groups)
@@ -264,7 +249,7 @@ def apply_rowwise(fn, series: "Sequence[np.ndarray]", count: int):
     the *array* instead of each string).  Callables that raise or return
     non-vectors (string methods, ``in`` checks, chained comparisons)
     fall back to a per-row python loop over python scalars, preserving
-    scalar-path semantics bit for bit.
+    python semantics bit for bit.
     """
     lists: "Optional[List[list]]" = None
     if count:
@@ -294,7 +279,7 @@ def apply_rowwise(fn, series: "Sequence[np.ndarray]", count: int):
 
 # Beyond this width the bit-matrix product could overflow the int64
 # accumulator; such pages are vanishingly rare, so they take the exact
-# scalar unpack path instead.
+# pure-python unpack instead.
 _MAX_VECTOR_WIDTH = 57
 
 

@@ -153,21 +153,6 @@ class DatabaseConfig:
     coalesce_puts: bool = False
     group_commit_flush: bool = False
     ocm_max_pending_uploads: int = 0
-    # Vectorized columnar executor (DESIGN.md §14; all off by default so
-    # the stock configuration reproduces the scalar row-at-a-time path
-    # byte-for-byte):
-    # - vectorized_executor: QueryContext scans decode pages into numpy
-    #   column vectors and the relational operators run batch kernels,
-    #   charging CPU through a MorselScheduler so simulated query time
-    #   scales with vcpus (requires numpy — the `perf` extra);
-    # - morsel_rows: rows per morsel for the parallel CPU model;
-    # - decoded_cache_bytes: budget of the session-level decoded-batch
-    #   cache (vectorized scans skip re-decoding pages it holds); sized
-    #   to hold the full decoded working set of the bench scale factors
-    #   (SF 0.1 decodes to ~185 MB) so repeat scans never thrash.
-    vectorized_executor: bool = False
-    morsel_rows: int = 4096
-    decoded_cache_bytes: int = 256 * MIB
     # End-to-end integrity (DESIGN.md §15; both off by default so the
     # stock configuration stays byte-identical to the seed):
     # - verify_reads: the object client recomputes CRC-32C over every
@@ -344,12 +329,6 @@ class Database:
     def __init__(self, config: "Optional[DatabaseConfig]" = None) -> None:
         self.config = config or DatabaseConfig()
         cfg = self.config
-        if cfg.vectorized_executor:
-            # Fail fast with one clear error instead of a mid-query
-            # ImportError; the scalar path never touches numpy.
-            from repro.columnar.vec import require_numpy
-
-            require_numpy("vectorized_executor=True")
         self.clock = VirtualClock()
         self.rng = DeterministicRng(cfg.seed, "database")
         self.meter = CostMeter()

@@ -54,11 +54,11 @@ class CpuModel:
 
 
 class MorselScheduler:
-    """Morsel-driven parallel CPU charging for the vectorized executor.
+    """Morsel-driven parallel CPU charging (an alternative CPU model).
 
-    The vectorized operators hand work over as ``(ops, rows)``.  Rows are
-    split into fixed-size *morsels* which the scheduler dispatches to the
-    instance's vCPUs in waves, so a batch's virtual duration is
+    Work is handed over as ``(ops, rows)``.  Rows are split into
+    fixed-size *morsels* which the scheduler dispatches to the instance's
+    vCPUs in waves, so a batch's virtual duration is
 
         waves * (ops / morsels) / rate  +  morsels * dispatch_ops / rate
 
@@ -69,23 +69,26 @@ class MorselScheduler:
     scale-up curve.  Reading ``cpu.vcpus`` live means re-provisioning an
     instance immediately changes query times without rebuilding anything.
 
-    The scalar executor never routes through this class, so default
-    configurations keep their Amdahl charging byte-for-byte.
+    The executor charges every operator through :class:`CpuModel`; no
+    program path calls this class.  It stays because the benchmark's
+    traced run (``perfbench/spans.py``) wraps ``charge`` by name.
     """
 
     def __init__(
         self,
         cpu: CpuModel,
-        morsel_rows: int = 4096,
+        rows_per_morsel: int = 4096,
         dispatch_ops: float = 32.0,
         metrics: "Optional[object]" = None,
     ) -> None:
-        if morsel_rows < 1:
-            raise ValueError(f"morsel_rows must be positive, got {morsel_rows}")
+        if rows_per_morsel < 1:
+            raise ValueError(
+                f"rows_per_morsel must be positive, got {rows_per_morsel}"
+            )
         if dispatch_ops < 0:
             raise ValueError("dispatch_ops cannot be negative")
         self.cpu = cpu
-        self.morsel_rows = morsel_rows
+        self.rows_per_morsel = rows_per_morsel
         self.dispatch_ops = dispatch_ops
         self.morsels_dispatched = 0
         self.waves_run = 0
@@ -98,7 +101,7 @@ class MorselScheduler:
 
     def plan(self, rows: float) -> "tuple[int, int]":
         """(morsels, waves) a batch of ``rows`` splits into right now."""
-        morsels = max(1, math.ceil(rows / self.morsel_rows))
+        morsels = max(1, math.ceil(rows / self.rows_per_morsel))
         return morsels, math.ceil(morsels / self.cpu.vcpus)
 
     def seconds_for(self, ops: float, rows: "Optional[float]" = None) -> float:

@@ -568,12 +568,9 @@ def q21(ctx: QueryContext, sf: float) -> Relation:
     ctx.cpu.charge(3.0 * n_rows(li))
     suppliers_by_order: "Dict[object, set]" = {}
     late_by_order: "Dict[object, set]" = {}
-    # to_list: iterate python scalars even when the vectorized executor
-    # returns numpy columns (boxing per-element numpy scalars in this
-    # loop costs more than the one-time conversion).
     for okey, skey, commit, receipt in zip(
-        to_list(li["l_orderkey"]), to_list(li["l_suppkey"]),
-        to_list(li["l_commitdate"]), to_list(li["l_receiptdate"]),
+        li["l_orderkey"], li["l_suppkey"], li["l_commitdate"],
+        li["l_receiptdate"],
     ):
         suppliers_by_order.setdefault(okey, set()).add(skey)
         if receipt > commit:
@@ -627,9 +624,11 @@ QUERIES: "Dict[int, Callable[[QueryContext, float], Relation]]" = {
 
 
 def run_query(ctx: QueryContext, number: int, sf: float = 0.01) -> Relation:
-    """Execute TPC-H query ``number`` in the given context."""
+    """Execute TPC-H query ``number``; the answer holds python lists."""
     try:
         query = QUERIES[number]
     except KeyError:
         raise KeyError(f"TPC-H has queries 1-22, not {number}") from None
-    return query(ctx, sf)
+    return {
+        column: to_list(values) for column, values in query(ctx, sf).items()
+    }

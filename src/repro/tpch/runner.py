@@ -78,14 +78,8 @@ def power_run(
     scale_factor: float,
     query_numbers: "Optional[Sequence[int]]" = None,
     prefetch_window: int = 32,
-    vectorized: "Optional[bool]" = None,
 ) -> "Dict[int, float]":
-    """Run queries sequentially; return virtual seconds per query.
-
-    ``vectorized`` overrides the session's ``vectorized_executor`` knob
-    for this run only (None: follow the knob), so benchmarks can compare
-    both executors on one loaded engine.
-    """
+    """Run queries sequentially; return virtual seconds per query."""
     numbers = list(query_numbers or sorted(QUERIES))
     clock = session.clock
     tracer = getattr(session, "tracer", None)
@@ -94,8 +88,7 @@ def power_run(
         started = clock.now()
         span = tracer.begin(f"Q{number}", "query") if tracer is not None else None
         try:
-            with QueryContext(session, prefetch_window=prefetch_window,
-                              vectorized=vectorized) as ctx:
+            with QueryContext(session, prefetch_window=prefetch_window) as ctx:
                 run_query(ctx, number, scale_factor)
         finally:
             if tracer is not None:
@@ -116,14 +109,12 @@ def make_streams(n_streams: int, seed: int = 42) -> "List[List[int]]":
 
 
 def run_stream(session, scale_factor: float, stream: "Sequence[int]",
-               prefetch_window: int = 32,
-               vectorized: "Optional[bool]" = None) -> float:
+               prefetch_window: int = 32) -> float:
     """Execute one query stream; return its virtual duration."""
     clock = session.clock
     started = clock.now()
     for number in stream:
-        with QueryContext(session, prefetch_window=prefetch_window,
-                          vectorized=vectorized) as ctx:
+        with QueryContext(session, prefetch_window=prefetch_window) as ctx:
             run_query(ctx, number, scale_factor)
     return clock.now() - started
 

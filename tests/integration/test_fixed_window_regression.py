@@ -67,7 +67,6 @@ def test_explicit_fixed_window_reproduces_golden(golden):
         coalesce_puts=False,
         group_commit_flush=False,
         ocm_max_pending_uploads=0,
-        vectorized_executor=False,
     )
     assert _digest(run) == golden
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.columnar.exec import group_by, order_by
+from repro.columnar.vec import to_list
 from repro.core.multiplex import Multiplex, MultiplexConfig
 from repro.engine import DatabaseConfig
 from repro.sim.rng import DeterministicRng
@@ -59,7 +60,7 @@ def test_readers_run_full_queries(cluster):
         acc = expected.setdefault(series, [0.0, 0])
         acc[0] += value
         acc[1] += 1
-    assert result["series"] == sorted(expected)
+    assert to_list(result["series"]) == sorted(expected)
     for series, total, count in zip(result["series"], result["total"],
                                     result["n"]):
         assert total == pytest.approx(expected[series][0])

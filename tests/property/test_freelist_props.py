@@ -62,3 +62,21 @@ def test_serialization_preserves_state(script):
     restored = Freelist.from_bytes(freelist.to_bytes())
     assert restored.used_blocks == freelist.used_blocks
     assert list(restored.used_ranges()) == list(freelist.used_ranges())
+
+
+@given(st.integers(1, 300).flatmap(
+    lambda total: st.tuples(
+        st.just(total), st.sets(st.integers(0, total - 1), max_size=total)
+    )
+))
+def test_used_blocks_roundtrip_through_bytes(case):
+    """The decoded used-block count equals the live one for any total,
+    including totals that leave a partial last byte."""
+    total, blocks = case
+    freelist = Freelist(total)
+    for block in blocks:
+        freelist.mark_used(block)
+    restored = Freelist.from_bytes(freelist.to_bytes())
+    assert restored.used_blocks == freelist.used_blocks == len(blocks)
+    assert restored.total_blocks == total
+    assert all(restored.is_used(b) == (b in blocks) for b in range(total))

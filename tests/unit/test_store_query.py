@@ -177,3 +177,35 @@ class TestScan:
                 raise RuntimeError("boom")
         # The engine is still usable; the context's txn was rolled back.
         assert not db.txn_manager.active_transactions()
+
+
+class TestRelationBoundary:
+    """Scans hand callers python lists of python scalars: vectors never
+    leave the executor, so ordinary python code can use the answers."""
+
+    @staticmethod
+    def _assert_python(rel):
+        for column, values in rel.items():
+            assert type(values) is list, column
+            assert all(type(v) in (int, float, str) for v in values), column
+
+    def test_read_and_read_rows_return_python_values(self, db):
+        make_table(db)
+        with QueryContext(db) as ctx:
+            scanned = ctx.read("items", ["key", "price", "tag"],
+                               {"price": (10.0, 50.0)}, with_rowids=True)
+            fetched = ctx.read_rows("items", ["key", "price", "tag"],
+                                    scanned[ROWID][:20])
+        self._assert_python(scanned)
+        self._assert_python(fetched)
+        assert scanned["key"]  # a non-empty column is truthy
+        assert fetched["key"] == scanned["key"][:20]
+
+    def test_scanned_max_key_feeds_append(self, db):
+        store, __, data = make_table(db)
+        with QueryContext(db) as ctx:
+            next_key = max(ctx.read("items", ["key"])["key"]) + 1
+        store.append("items", [(next_key, 1.0, "red")])
+        with QueryContext(db) as ctx:
+            rel = ctx.read("items", ["key"], {"key": (next_key, next_key)})
+        assert rel["key"] == [len(data) + 1]

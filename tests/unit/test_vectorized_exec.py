@@ -1,16 +1,17 @@
-"""Vectorized executor: kernels, operators, scheduler, decode cache.
+"""Executor kernels and operators, and the morsel scheduler.
 
-The contract under test everywhere: the numpy path must reproduce the
-scalar path's output *exactly* — same rows, same order, same float bits.
-Property tests drive random relations through each operator in both
-modes and compare; kernel tests pin the order-sensitive details (group
-appearance order, join match order, sequential float accumulation).
+The contract under test everywhere: the numpy operators must reproduce
+the row-at-a-time reference (``tests/unit/reference_exec.py``) exactly —
+same rows, same order, same python types, same float bits — and charge
+the Amdahl CPU model the same ``ops`` in the same sequence.  Property
+tests drive random relations through each operator both ways; kernel
+tests pin the order-sensitive details (group appearance order, join
+match order, sequential float accumulation).
 """
 
 from __future__ import annotations
 
-import math
-
+import numpy as np
 import pytest
 
 from repro.columnar import exec as ex
@@ -21,46 +22,52 @@ from repro.columnar.encoding import (
     decode_values_np,
     encode_values,
 )
-from repro.columnar.query import DecodedBatchCache
 from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuModel, MorselScheduler
 from repro.sim.metrics import MetricsRegistry
-
-np = pytest.importorskip("numpy")
+from tests.unit import reference_exec as ref
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
-class FakeSession:
-    """Just enough session surface for operator-level tests."""
+class RecordingCpu(CpuModel):
+    """An Amdahl CPU model that also records every charge, in order."""
 
-    def __init__(self, vcpus: int = 4) -> None:
-        self.cpu = CpuModel(VirtualClock(), vcpus=vcpus)
+    def __init__(self) -> None:
+        super().__init__(VirtualClock(), vcpus=4)
+        self.charges = []
+
+    def charge(self, ops: float) -> float:
+        self.charges.append(ops)
+        return super().charge(ops)
 
 
 class FakeCtx:
-    """Operator context without a database: cpu + morsels + flag."""
+    """Operator context without a database: just a CPU model."""
 
-    def __init__(self, vectorized: bool, vcpus: int = 4) -> None:
-        self.session = FakeSession(vcpus)
-        self.cpu = self.session.cpu
-        self.vectorized = vectorized
-        self.morsels = MorselScheduler(self.cpu)
+    def __init__(self) -> None:
+        self.cpu = RecordingCpu()
 
 
-def norm(rel):
-    """Relation -> plain python lists for comparison."""
-    return {k: vec.to_list(v) for k, v in rel.items()}
+def typed(rel):
+    """Relation -> {column: [(type name, value)]}, so 1 != 1.0."""
+    return {
+        k: [(type(v).__name__, v) for v in vec.to_list(values)]
+        for k, values in rel.items()
+    }
 
 
 def both_ways(op):
-    """Run ``op(ctx)`` scalar and vectorized; assert identical output."""
-    scalar = norm(op(FakeCtx(vectorized=False)))
-    vectorized = norm(op(FakeCtx(vectorized=True)))
-    assert scalar == vectorized
-    return scalar
+    """Run ``op(ops, ctx)`` with the reference and the executor operators;
+    assert identical output and identical CPU charges."""
+    ref_ctx, exec_ctx = FakeCtx(), FakeCtx()
+    expected = op(ref, ref_ctx)
+    got = op(ex, exec_ctx)
+    assert typed(got) == typed(expected)
+    assert exec_ctx.cpu.charges == ref_ctx.cpu.charges
+    return expected
 
 
 # --------------------------------------------------------------------- #
@@ -181,7 +188,7 @@ def test_decode_values_np_float_is_zero_copy_view():
 
 
 # --------------------------------------------------------------------- #
-# operators: scalar == vectorized (property tests)
+# operators: executor == row-at-a-time reference (property tests)
 # --------------------------------------------------------------------- #
 
 _COLUMN = st.one_of(
@@ -208,7 +215,7 @@ def relations(draw, min_columns=2, max_columns=4):
 @settings(max_examples=40, deadline=None)
 def test_filter_rows_equivalence(rel):
     pivot = rel["c0"][0] if rel["c0"] else 0
-    both_ways(lambda ctx: ex.filter_rows(
+    both_ways(lambda ops, ctx: ops.filter_rows(
         ctx, rel, lambda v: v >= pivot, ["c0"]
     ))
 
@@ -216,7 +223,7 @@ def test_filter_rows_equivalence(rel):
 @given(relations())
 @settings(max_examples=40, deadline=None)
 def test_extend_equivalence(rel):
-    both_ways(lambda ctx: ex.extend(
+    both_ways(lambda ops, ctx: ops.extend(
         ctx, rel, "derived", lambda a, b: (a, b) == (a, b) and str(a) < str(b),
         ["c0", "c1"],
     ))
@@ -225,7 +232,7 @@ def test_extend_equivalence(rel):
 @given(relations(), relations())
 @settings(max_examples=40, deadline=None)
 def test_hash_join_equivalence(left, right):
-    both_ways(lambda ctx: ex.hash_join(
+    both_ways(lambda ops, ctx: ops.hash_join(
         ctx,
         {f"l_{k}": [str(v) for v in vs] for k, vs in left.items()},
         {f"r_{k}": [str(v) for v in vs] for k, vs in right.items()},
@@ -238,10 +245,10 @@ def test_hash_join_equivalence(left, right):
 def test_semi_anti_join_equivalence(left, right):
     left = {f"l_{k}": [str(v) for v in vs] for k, vs in left.items()}
     right = {f"r_{k}": [str(v) for v in vs] for k, vs in right.items()}
-    both_ways(lambda ctx: ex.hash_join(
+    both_ways(lambda ops, ctx: ops.hash_join(
         ctx, left, right, ["l_c0"], ["r_c0"], semi=True
     ))
-    both_ways(lambda ctx: ex.hash_join(
+    both_ways(lambda ops, ctx: ops.hash_join(
         ctx, left, right, ["l_c1"], ["r_c1"], anti=True
     ))
 
@@ -255,7 +262,7 @@ def test_group_by_equivalence(rel):
                for v in rel["c1"]],
         "c2": rel["c2"],
     }
-    both_ways(lambda ctx: ex.group_by(
+    both_ways(lambda ops, ctx: ops.group_by(
         ctx, keyed, ["c0"],
         {
             "n": ("count", None),
@@ -272,7 +279,7 @@ def test_group_by_equivalence(rel):
 def test_global_group_equivalence(rel):
     numeric = dict(rel)
     numeric["c1"] = [float(len(str(v))) for v in rel["c1"]]
-    both_ways(lambda ctx: ex.group_by(
+    both_ways(lambda ops, ctx: ops.group_by(
         ctx, numeric, [],
         {"n": ("count", None), "total": ("sum", "c1")},
     ))
@@ -281,7 +288,7 @@ def test_global_group_equivalence(rel):
 @given(relations(min_columns=2))
 @settings(max_examples=40, deadline=None)
 def test_order_by_equivalence(rel):
-    both_ways(lambda ctx: ex.order_by(
+    both_ways(lambda ops, ctx: ops.order_by(
         ctx, rel, [("c0", True), ("c1", False)], limit=10
     ))
 
@@ -289,14 +296,21 @@ def test_order_by_equivalence(rel):
 @given(relations())
 @settings(max_examples=40, deadline=None)
 def test_distinct_equivalence(rel):
-    both_ways(lambda ctx: ex.distinct(ctx, rel, ["c0", "c1"]))
+    both_ways(lambda ops, ctx: ops.distinct(ctx, rel, ["c0", "c1"]))
 
 
 def test_concat_mixed_representations():
     left = {"a": vec.asarray([1, 2])}
     right = {"a": [3, 4]}
     assert vec.to_list(ex.concat(left, right)["a"]) == [1, 2, 3, 4]
-    assert ex.concat({"a": [1]}, {"a": [2]})["a"] == [1, 2]
+    assert vec.to_list(ex.concat({"a": [1]}, {"a": [2]})["a"]) == [1, 2]
+
+
+def test_concat_keeps_value_types():
+    """Like list ``+``: an empty side adds no dtype, ints stay ints."""
+    assert typed(ex.concat({"a": [1]}, {"a": []})) == typed({"a": [1]})
+    assert typed(ex.concat({"a": [1]}, {"a": [2.5]})) == \
+        typed({"a": [1, 2.5]})
 
 
 def test_rows_helper_handles_vectors():
@@ -331,7 +345,7 @@ def test_morsel_charge_advances_clock_and_counters():
     clock = VirtualClock()
     cpu = CpuModel(clock, vcpus=4)
     metrics = MetricsRegistry()
-    sched = MorselScheduler(cpu, morsel_rows=100, metrics=metrics)
+    sched = MorselScheduler(cpu, rows_per_morsel=100, metrics=metrics)
     seconds = sched.charge(1000.0, rows=450)  # 5 morsels, 2 waves
     assert seconds > 0
     assert clock.now() == seconds
@@ -343,7 +357,7 @@ def test_morsel_charge_advances_clock_and_counters():
 
 def test_morsel_scheduler_reads_vcpus_live():
     cpu = CpuModel(VirtualClock(), vcpus=1)
-    sched = MorselScheduler(cpu, morsel_rows=10)
+    sched = MorselScheduler(cpu, rows_per_morsel=10)
     slow = sched.seconds_for(1000.0, rows=1000)
     cpu.vcpus = 16
     fast = sched.seconds_for(1000.0, rows=1000)
@@ -353,79 +367,8 @@ def test_morsel_scheduler_reads_vcpus_live():
 def test_morsel_scheduler_validates_args():
     cpu = CpuModel(VirtualClock(), vcpus=1)
     with pytest.raises(ValueError):
-        MorselScheduler(cpu, morsel_rows=0)
+        MorselScheduler(cpu, rows_per_morsel=0)
     with pytest.raises(ValueError):
         MorselScheduler(cpu, dispatch_ops=-1.0)
     with pytest.raises(ValueError):
         MorselScheduler(cpu).seconds_for(-1.0)
-
-
-# --------------------------------------------------------------------- #
-# decoded-batch cache
-# --------------------------------------------------------------------- #
-
-def test_decoded_cache_hit_miss_metrics():
-    metrics = MetricsRegistry()
-    cache = DecodedBatchCache(1024, metrics=metrics)
-    key = ("tbl/c0/p0", 3, 0)
-    assert cache.get(key) is None
-    cache.put(key, "batch", 100)
-    assert cache.get(key) == "batch"
-    assert cache.hits == 1 and cache.misses == 1
-    assert metrics.counter("decoded_cache_hits").value == 1
-    assert metrics.counter("decoded_cache_misses").value == 1
-    assert metrics.gauge("decoded_cache_bytes").value == 100
-
-
-def test_decoded_cache_lru_eviction_by_bytes():
-    cache = DecodedBatchCache(250)
-    cache.put(("a", 1, 0), "A", 100)
-    cache.put(("b", 1, 0), "B", 100)
-    cache.get(("a", 1, 0))           # touch: 'a' is now most recent
-    cache.put(("c", 1, 0), "C", 100)  # evicts 'b', the LRU entry
-    assert ("a", 1, 0) in cache
-    assert ("b", 1, 0) not in cache
-    assert ("c", 1, 0) in cache
-    assert cache.evictions == 1
-    assert cache.bytes_used == 200
-
-
-def test_decoded_cache_rejects_oversized_batches():
-    cache = DecodedBatchCache(50)
-    cache.put(("a", 1, 0), "A", 100)
-    assert ("a", 1, 0) not in cache
-    assert cache.bytes_used == 0
-
-
-def test_decoded_cache_versions_do_not_mix():
-    cache = DecodedBatchCache(1024)
-    cache.put(("a", 1, 0), "v1", 10)
-    cache.put(("a", 2, 0), "v2", 10)
-    assert cache.get(("a", 1, 0)) == "v1"
-    assert cache.get(("a", 2, 0)) == "v2"
-
-
-# --------------------------------------------------------------------- #
-# numpy-less degradation
-# --------------------------------------------------------------------- #
-
-def test_vectorized_executor_requires_numpy(monkeypatch):
-    monkeypatch.setattr(vec, "np", None)
-    assert not vec.have_numpy()
-    with pytest.raises(vec.VectorizedUnavailableError) as err:
-        vec.require_numpy("vectorized_executor=True")
-    message = str(err.value)
-    assert "numpy" in message
-    assert "repro[perf]" in message
-    assert "vectorized_executor=False" in message
-
-
-def test_database_fails_fast_without_numpy(monkeypatch):
-    from repro.engine import Database, DatabaseConfig
-
-    monkeypatch.setattr(vec, "np", None)
-    with pytest.raises(vec.VectorizedUnavailableError):
-        Database(DatabaseConfig(vectorized_executor=True))
-    # The scalar default stays fully functional.
-    db = Database(DatabaseConfig())
-    assert db.config.vectorized_executor is False
